@@ -42,6 +42,23 @@ pub enum UpdatePath {
     Full,
 }
 
+/// Counters of one adaptive update, as a long-lived [`AtxAlloSession`]
+/// reports them: the updated labels stay in the session
+/// ([`AtxAlloSession::labels`]), so a serving epoch copies nothing `O(n)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AtxAlloCounters {
+    /// How many brand-new accounts were placed (phase 1).
+    pub new_nodes: usize,
+    /// Optimization sweeps over `V̂` (phase 2).
+    pub sweeps: usize,
+    /// Total throughput gain accumulated in phase 2.
+    pub total_gain: f64,
+    /// Node moves committed across both phases.
+    pub moves: usize,
+    /// Which snapshot route the update took.
+    pub path: UpdatePath,
+}
+
 /// Outcome of an adaptive update.
 #[derive(Debug, Clone)]
 pub struct AtxAlloOutcome {
@@ -57,6 +74,20 @@ pub struct AtxAlloOutcome {
     pub moves: usize,
     /// Which snapshot route produced this outcome.
     pub path: UpdatePath,
+}
+
+impl AtxAlloOutcome {
+    /// Joins a throwaway session's counters with the labels moved out of it.
+    fn from_session(session: AtxAlloSession, counters: AtxAlloCounters) -> Self {
+        Self {
+            allocation: session.into_allocation(),
+            new_nodes: counters.new_nodes,
+            sweeps: counters.sweeps,
+            total_gain: counters.total_gain,
+            moves: counters.moves,
+            path: counters.path,
+        }
+    }
 }
 
 impl AtxAllo {
@@ -89,7 +120,9 @@ impl AtxAllo {
         previous: &Allocation,
         touched: &[NodeId],
     ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update(graph, touched, &self.params)
+        let mut session = AtxAlloSession::new(graph, previous, &self.params);
+        let counters = session.update(graph, touched, &self.params);
+        AtxAlloOutcome::from_session(session, counters)
     }
 
     /// [`AtxAllo::update`] forced onto the incremental delta-CSR route:
@@ -100,12 +133,7 @@ impl AtxAllo {
         previous: &Allocation,
         touched: &[NodeId],
     ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update_with_route(
-            graph,
-            touched,
-            &self.params,
-            UpdatePath::Incremental,
-        )
+        self.update_routed(graph, previous, touched, UpdatePath::Incremental)
     }
 
     /// [`AtxAllo::update`] forced onto the full-recompute route: the whole
@@ -119,12 +147,20 @@ impl AtxAllo {
         previous: &Allocation,
         touched: &[NodeId],
     ) -> AtxAlloOutcome {
-        AtxAlloSession::new(graph, previous, &self.params).update_with_route(
-            graph,
-            touched,
-            &self.params,
-            UpdatePath::Full,
-        )
+        self.update_routed(graph, previous, touched, UpdatePath::Full)
+    }
+
+    /// One update through a throwaway session on a forced route.
+    fn update_routed(
+        &self,
+        graph: &TxGraph,
+        previous: &Allocation,
+        touched: &[NodeId],
+        path: UpdatePath,
+    ) -> AtxAlloOutcome {
+        let mut session = AtxAlloSession::new(graph, previous, &self.params);
+        let counters = session.update_with_route(graph, touched, &self.params, path);
+        AtxAlloOutcome::from_session(session, counters)
     }
 }
 

@@ -17,14 +17,15 @@
 //! depends on (a) its per-community link weights — which change only when
 //! a *snapshot neighbor* moves, external neighbors being frozen for the
 //! epoch — and (b) the accounting state of the communities it touches
-//! (Lemma 1). Candidate lists are cached until a snapshot neighbor moves
+//! (Lemma 1). Candidate lists are cached, in a flat row-ordered
+//! [`CandidateCache`] arena, until a snapshot neighbor moves
 //! (`DeltaCsr::local_of` identifies the propagation edges), and a node
 //! whose candidates *and* touched communities are unchanged since its last
 //! evaluation is skipped outright. All reuse is bit-exact: the trajectory
 //! is identical to re-gathering every node every sweep, which the golden
 //! tests assert against a cache-free reference.
 
-use txallo_graph::{par, DeltaCsr, DenseAccumulator};
+use txallo_graph::{par, CandidateCache, DeltaCsr, DenseAccumulator};
 use txallo_louvain::GAIN_EPS;
 
 use crate::state::{gather_labels_blocked, CommunityState, UNASSIGNED};
@@ -43,12 +44,12 @@ pub(crate) struct EpochSweepOutcome {
 }
 
 /// Reusable buffers of the epoch sweep — the per-row stamp arrays, the
-/// candidate caches and the dense gather accumulator. A serving session
-/// carries one of these across epochs so the per-epoch cost contains no
-/// buffer allocation at all once capacities have warmed up (the satellite
-/// of the delta-CSR buffer reuse, same contract: a warm scratch is
-/// observationally identical to fresh ones — every array is re-initialized
-/// to the values a fresh allocation would hold, only capacity survives).
+/// snapshot-local label mirror, the candidate cache and the dense gather
+/// accumulators. A serving session carries one of these across epochs so
+/// the per-epoch cost contains no buffer allocation at all once
+/// capacities have warmed up. A warm scratch is observationally identical
+/// to a fresh one: every array is re-initialized to the values a fresh
+/// allocation would hold, only capacity survives.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SweepScratch {
     acc: DenseAccumulator,
@@ -56,33 +57,37 @@ pub(crate) struct SweepScratch {
     gathered_at: Vec<u64>,
     links_dirty: Vec<u64>,
     comm_stamp: Vec<u64>,
-    /// Cached candidate lists; inner vectors keep their capacity across
-    /// epochs.
-    cand_cache: Vec<Vec<(u32, f64)>>,
+    /// `local_labels[i]` mirrors `labels[snap.global_id(i)]` during phase
+    /// 2, so the per-visit label read is sequential in sweep order.
+    local_labels: Vec<u32>,
+    /// Candidate lists, one slot of `min(row length, k)` entries per
+    /// snapshot row, re-laid per sweep call.
+    cands: CandidateCache,
     /// One accumulator per worker chunk of the multi-core pre-gather
     /// (empty until a sweep actually runs with `threads > 1`).
     pool: Vec<DenseAccumulator>,
 }
 
 impl SweepScratch {
-    /// Re-initializes every buffer for a sweep over `t` snapshot rows and
-    /// `k` communities.
-    fn reset(&mut self, t: usize, k: usize) {
+    /// Re-initializes every buffer for a sweep over `snap`'s rows and `k`
+    /// communities.
+    fn reset(&mut self, snap: &DeltaCsr, k: usize) {
+        let t = snap.len();
         reset_fill(&mut self.last_eval, t, 0);
         reset_fill(&mut self.gathered_at, t, 0);
         reset_fill(&mut self.links_dirty, t, 1);
         reset_fill(&mut self.comm_stamp, k, 1);
-        for cache in self.cand_cache.iter_mut().take(t) {
-            cache.clear();
-        }
-        if self.cand_cache.len() < t {
-            self.cand_cache.resize_with(t, Vec::new);
-        }
+        self.local_labels.clear();
+        // A row's candidates are distinct assigned labels of its
+        // neighbors: at most one per neighbor and one per community.
+        let offsets = snap.offsets();
+        self.cands
+            .layout(t, |i| ((offsets[i + 1] - offsets[i]) as usize).min(k));
     }
 
     /// Approximate resident bytes across every retained buffer
     /// (capacity-based), including the per-worker accumulator pool and the
-    /// candidate-cache inner vectors.
+    /// candidate arena.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let stamps = (self.last_eval.capacity()
@@ -90,14 +95,9 @@ impl SweepScratch {
             + self.links_dirty.capacity()
             + self.comm_stamp.capacity())
             * size_of::<u64>();
-        let caches = self.cand_cache.capacity() * size_of::<Vec<(u32, f64)>>()
-            + self
-                .cand_cache
-                .iter()
-                .map(|c| c.capacity() * size_of::<(u32, f64)>())
-                .sum::<usize>();
+        let mirror = self.local_labels.capacity() * size_of::<u32>();
         let pool = self.pool.iter().map(|a| a.approx_bytes()).sum::<usize>();
-        self.acc.approx_bytes() + stamps + caches + pool
+        self.acc.approx_bytes() + stamps + mirror + self.cands.approx_bytes() + pool
     }
 }
 
@@ -112,7 +112,7 @@ fn reset_fill(buf: &mut Vec<u64>, len: usize, value: u64) {
 /// snapshot rows: canonical neighbor order, weights toward [`UNASSIGNED`]
 /// neighbors kept out of the candidate set. Runs the shared blocked
 /// gather strip ([`gather_labels_blocked`]) — bit-identical to the scalar
-/// loop, addressing the PR 4 "gather dominates gain evaluation" lead.
+/// loop.
 #[inline]
 fn gather_row(snap: &DeltaCsr, local: usize, labels: &[u32], k: usize, acc: &mut DenseAccumulator) {
     acc.begin(k);
@@ -130,9 +130,10 @@ fn gather_row(snap: &DeltaCsr, local: usize, labels: &[u32], k: usize, acc: &mut
 ///
 /// `epsilon`/`max_sweeps` bound the phase-2 loop exactly as in the classic
 /// implementation. `threads` only chooses *how* the candidate gathers are
-/// computed: `<= 1` takes the exact serial code path, larger counts run
-/// the multi-core variant — bit-identical labels, gains and sweep counts
-/// at any count (pinned by the `parallel_invariance` suite).
+/// computed: `<= 1` gathers each row at its turn, larger counts also
+/// refresh every stale gather concurrently whenever the labels are frozen
+/// (see [`pregather`]) — bit-identical labels, gains and sweep counts at
+/// any count (pinned by the `parallel_invariance` suite).
 pub(crate) fn epoch_sweep(
     snap: &DeltaCsr,
     labels: &mut [u32],
@@ -142,159 +143,51 @@ pub(crate) fn epoch_sweep(
     scratch: &mut SweepScratch,
     threads: usize,
 ) -> EpochSweepOutcome {
-    let threads = par::resolve_threads(threads);
-    if threads <= 1 {
-        epoch_sweep_serial(snap, labels, state, epsilon, max_sweeps, scratch)
-    } else {
-        epoch_sweep_parallel(snap, labels, state, epsilon, max_sweeps, scratch, threads)
-    }
-}
-
-/// The serial epoch sweep — the `threads == 1` code path, byte for byte
-/// the kernel that predates the multi-core sweep engine.
-fn epoch_sweep_serial(
-    snap: &DeltaCsr,
-    labels: &mut [u32],
-    state: &mut CommunityState,
-    epsilon: f64,
-    max_sweeps: usize,
-    scratch: &mut SweepScratch,
-) -> EpochSweepOutcome {
     let t = snap.len();
     let k = state.community_count();
-    scratch.reset(t, k);
-    let SweepScratch {
-        acc,
-        last_eval,
-        gathered_at,
-        links_dirty,
-        comm_stamp,
-        cand_cache,
-        ..
-    } = scratch;
+    scratch.reset(snap, k);
+    let threads = par::resolve_threads(threads);
+    let bounds =
+        (threads > 1).then(|| par::entry_balanced_split(snap.offsets(), threads.min(t.max(1))));
+    if let Some(bounds) = &bounds {
+        if scratch.pool.len() < bounds.len() - 1 {
+            scratch
+                .pool
+                .resize_with(bounds.len() - 1, DenseAccumulator::default);
+        }
+    }
     let mut out = EpochSweepOutcome::default();
 
     // ---- Phase 1 (lines 1–8): place brand-new nodes.
-    for i in 0..t {
-        let g = snap.global_id(i) as usize;
-        if labels[g] != UNASSIGNED {
-            continue;
-        }
-        out.new_nodes += 1;
-        gather_row(snap, i, labels, k, acc);
-        let self_w = snap.self_loop(i);
-        let d_v = snap.incident_weight(i);
-        // Ties (within GAIN_EPS of the running maximum gain) broken toward
-        // the least-loaded community — see `GTxAllo::best_join` for the
-        // anchoring rule and why the id tie-break would wreck balance.
-        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
-        let mut max_gain = f64::NEG_INFINITY;
-        let mut consider = |q: u32, w_vq: f64, best: &mut Option<(u32, f64, f64)>| {
-            let gain = state.join_gain(q, self_w, d_v, w_vq);
-            let sigma = state.sigma(q);
-            if gain > max_gain {
-                max_gain = gain;
-            }
-            let better = match *best {
-                None => true,
-                Some((_, bg, bs)) => {
-                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
-                }
-            };
-            if better {
-                *best = Some((q, gain, sigma));
-            }
-        };
-        if acc.is_empty() {
-            // C_v = ∅: consider every community (lines 3–5).
-            for q in 0..k as u32 {
-                consider(q, 0.0, &mut best);
-            }
-        } else {
-            for (q, w_vq) in acc.entries() {
-                consider(q, w_vq, &mut best);
-            }
-        }
-        let q = best.expect("k ≥ 1").0; // txallo-lint: allow(lib-unwrap) — the candidate scan visits every shard 0..k and k >= 1, so best is always set
-        let w_vq = acc.get(q);
-        state.apply_join(q, self_w, d_v, w_vq);
-        labels[g] = q;
-        out.moves += 1;
+    match &bounds {
+        None => place_serial(snap, labels, state, k, &mut scratch.acc, &mut out),
+        Some(bounds) => place_pregathered(snap, labels, state, k, bounds, scratch, &mut out),
     }
 
     // ---- Phase 2 (lines 9–17): optimize over V̂ with stamp skipping.
-    // (The stamp arrays and the candidate caches — ascending community
-    // order, straight from the gather, reused until a snapshot neighbor
-    // moves — live in the caller-provided scratch.)
+    scratch
+        .local_labels
+        .extend((0..t).map(|i| labels[snap.global_id(i) as usize]));
     let mut move_stamp: u64 = 1; // bumped on every committed move
     loop {
-        let mut delta = 0.0;
-        for i in 0..t {
-            let g = snap.global_id(i) as usize;
-            let p = labels[g];
-            let links_fresh = links_dirty[i] <= gathered_at[i];
-            if links_fresh {
-                let seen = last_eval[i];
-                if comm_stamp[p as usize] <= seen
-                    && cand_cache[i]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
-                gather_row(snap, i, labels, k, acc);
-                gathered_at[i] = move_stamp;
-                cand_cache[i].clear();
-                cand_cache[i].extend(acc.entries());
-            }
-            last_eval[i] = move_stamp;
-            let cand = &cand_cache[i];
-            if cand.is_empty() || (cand.len() == 1 && cand[0].0 == p) {
-                continue; // C_v = ∅ or v only touches its own community.
-            }
-            let self_w = snap.self_loop(i);
-            let d_v = snap.incident_weight(i);
-            let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
-            let leave = state.leave_gain(p, self_w, d_v, w_vp);
-
-            // Candidates are sorted ascending; a later candidate must beat
-            // the best by > GAIN_EPS.
-            let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
-            for &(q, w_vq) in cand {
-                if q == p {
-                    continue;
-                }
-                let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                match best {
-                    Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
-                    _ => best = Some((q, gain, w_vq)),
-                }
-            }
-            if let Some((q, gain, w_vq)) = best {
-                if gain > 0.0 {
-                    state.apply_leave(p, self_w, d_v, w_vp);
-                    state.apply_join(q, self_w, d_v, w_vq);
-                    labels[g] = q;
-                    delta += gain;
-                    out.total_gain += gain;
-                    out.moves += 1;
-                    move_stamp += 1;
-                    comm_stamp[p as usize] = move_stamp;
-                    comm_stamp[q as usize] = move_stamp;
-                    // Only snapshot members can move, so only they cache
-                    // link weights that just went stale. The `local_of`
-                    // lookup is paid per committed move, not per edge of
-                    // the snapshot build.
-                    let (targets, _) = snap.row(i);
-                    for &u in targets {
-                        if let Some(lt) = snap.local_of(u) {
-                            links_dirty[lt as usize] = move_stamp;
-                        }
-                    }
+        if let Some(bounds) = &bounds {
+            // Refresh every stale gather against the sweep-boundary labels.
+            let SweepScratch {
+                gathered_at,
+                links_dirty,
+                cands,
+                pool,
+                ..
+            } = &mut *scratch;
+            let (ld, ga): (&[u64], &[u64]) = (links_dirty, gathered_at);
+            pregather(snap, labels, k, bounds, cands, pool, |i| ld[i] > ga[i]);
+            for i in 0..t {
+                if links_dirty[i] > gathered_at[i] {
+                    gathered_at[i] = move_stamp;
                 }
             }
         }
+        let delta = optimize_pass(snap, labels, state, k, scratch, &mut move_stamp, &mut out);
         out.sweeps += 1;
         if delta < epsilon || out.sweeps >= max_sweeps {
             break;
@@ -304,68 +197,94 @@ fn epoch_sweep_serial(
     out
 }
 
-/// The multi-core epoch sweep.
+/// Gathers every row `i` with `stale(i)` into its candidate slot against
+/// the frozen `labels`, in parallel over the canonical row ranges
+/// `bounds` ([`par::entry_balanced_split`] over [`DeltaCsr::offsets`]):
+/// each chunk writes only its own window of the cache, with its own
+/// accumulator.
 ///
-/// **Why this is bit-identical to [`epoch_sweep_serial`].** A row's
+/// **Why this keeps the sweep bit-identical to the serial one.** A row's
 /// candidate gather is a pure function of (row, neighbor labels), and the
 /// kernel already tracks exactly when that input changes: every committed
 /// move dirties the snapshot rows adjacent to the mover (`links_dirty`),
-/// and only snapshot rows ever change labels during an epoch. The
-/// parallel variant therefore refreshes all *stale* gathers concurrently
-/// whenever the labels are frozen — once before the placement loop, once
-/// at each phase-2 sweep boundary — partitioned by canonical row ranges
-/// ([`par::entry_balanced_split`] over [`DeltaCsr::offsets`]), each chunk
-/// writing only its own `cand_cache` window with its own accumulator. The
-/// decision loops that follow are the serial ones: same visit order, same
-/// cached bits (a cache invalidated by an earlier in-loop commit is
-/// re-gathered serially at its turn, exactly as before), hence the same
-/// move sequence, float by float. No gain or accounting update ever
-/// crosses a chunk boundary.
-#[allow(clippy::too_many_arguments)]
-fn epoch_sweep_parallel(
+/// and only snapshot rows ever change labels during an epoch. Refreshing
+/// the stale gathers while the labels are frozen — once before the
+/// placement loop, once at each phase-2 sweep boundary — therefore stores
+/// exactly the lists a serial visit would gather. The decision loops that
+/// follow are the serial ones: same visit order, same cached bits (a cache
+/// invalidated by an earlier in-loop commit is re-gathered at its turn),
+/// hence the same move sequence, float by float. No gain or accounting
+/// update ever crosses a chunk boundary.
+fn pregather(
+    snap: &DeltaCsr,
+    labels: &[u32],
+    k: usize,
+    bounds: &[usize],
+    cands: &mut CandidateCache,
+    pool: &mut [DenseAccumulator],
+    stale: impl Fn(usize) -> bool + Sync,
+) {
+    let mut windows = cands.windows_mut(bounds);
+    par::for_each_part_mut(&mut windows, pool, |window, acc| {
+        for i in window.rows() {
+            if stale(i) {
+                gather_row(snap, i, labels, k, acc);
+                window.store(i, acc);
+            }
+        }
+    });
+}
+
+/// Phase 1, gathering each brand-new row at its turn.
+fn place_serial(
     snap: &DeltaCsr,
     labels: &mut [u32],
     state: &mut CommunityState,
-    epsilon: f64,
-    max_sweeps: usize,
-    scratch: &mut SweepScratch,
-    threads: usize,
-) -> EpochSweepOutcome {
-    let t = snap.len();
-    let k = state.community_count();
-    scratch.reset(t, k);
-    let bounds = par::entry_balanced_split(snap.offsets(), threads.min(t.max(1)));
-    let chunks = bounds.len() - 1;
-    if scratch.pool.len() < chunks {
-        scratch.pool.resize_with(chunks, DenseAccumulator::default);
+    k: usize,
+    acc: &mut DenseAccumulator,
+    out: &mut EpochSweepOutcome,
+) {
+    for i in 0..snap.len() {
+        let g = snap.global_id(i) as usize;
+        if labels[g] != UNASSIGNED {
+            continue;
+        }
+        out.new_nodes += 1;
+        gather_row(snap, i, labels, k, acc);
+        let (self_w, d_v) = (snap.self_loop(i), snap.incident_weight(i));
+        let (q, w_vq) = state.best_join(self_w, d_v, acc.entries());
+        state.apply_join(q, self_w, d_v, w_vq);
+        labels[g] = q;
+        out.moves += 1;
     }
+}
+
+/// Phase 1 over gathers refreshed in parallel against the pre-placement
+/// labels ([`pregather`]); a row whose gather an earlier placement
+/// invalidated re-gathers at its turn. Leaves the stamp arrays as phase 2
+/// expects them: every row stale, nothing evaluated.
+fn place_pregathered(
+    snap: &DeltaCsr,
+    labels: &mut [u32],
+    state: &mut CommunityState,
+    k: usize,
+    bounds: &[usize],
+    scratch: &mut SweepScratch,
+    out: &mut EpochSweepOutcome,
+) {
+    let t = snap.len();
     let SweepScratch {
         acc,
-        last_eval,
         gathered_at,
         links_dirty,
-        comm_stamp,
-        cand_cache,
+        cands,
         pool,
+        ..
     } = scratch;
-    let mut out = EpochSweepOutcome::default();
-
-    // ---- Phase 1 (lines 1–8): place brand-new nodes.
-    // Pre-gather every unassigned row against the pre-placement labels,
-    // in parallel; rows whose gather is invalidated by an earlier
-    // placement re-gather serially at their turn below.
     {
         let labels_ro: &[u32] = labels;
-        par::for_each_chunk_mut(&bounds, &mut cand_cache[..t], pool, |lo, caches, acc| {
-            for (idx, cache) in caches.iter_mut().enumerate() {
-                let i = lo + idx;
-                if labels_ro[snap.global_id(i) as usize] != UNASSIGNED {
-                    continue;
-                }
-                gather_row(snap, i, labels_ro, k, acc);
-                cache.clear();
-                cache.extend(acc.entries());
-            }
+        pregather(snap, labels_ro, k, bounds, cands, pool, |i| {
+            labels_ro[snap.global_id(i) as usize] == UNASSIGNED
         });
     }
     let mut stamp: u64 = 1; // phase-1 local; reset before phase 2
@@ -383,45 +302,15 @@ fn epoch_sweep_parallel(
         if links_dirty[i] > gathered_at[i] {
             gather_row(snap, i, labels, k, acc);
             gathered_at[i] = stamp;
-            cand_cache[i].clear();
-            cand_cache[i].extend(acc.entries());
+            cands.store(i, acc);
         }
-        let cand = &cand_cache[i];
-        let self_w = snap.self_loop(i);
-        let d_v = snap.incident_weight(i);
-        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, sigma)
-        let mut max_gain = f64::NEG_INFINITY;
-        let mut consider = |q: u32, w_vq: f64, best: &mut Option<(u32, f64, f64)>| {
-            let gain = state.join_gain(q, self_w, d_v, w_vq);
-            let sigma = state.sigma(q);
-            if gain > max_gain {
-                max_gain = gain;
-            }
-            let better = match *best {
-                None => true,
-                Some((_, bg, bs)) => {
-                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
-                }
-            };
-            if better {
-                *best = Some((q, gain, sigma));
-            }
-        };
-        if cand.is_empty() {
-            // C_v = ∅: consider every community (lines 3–5).
-            for q in 0..k as u32 {
-                consider(q, 0.0, &mut best);
-            }
-        } else {
-            for &(q, w_vq) in cand {
-                consider(q, w_vq, &mut best);
-            }
-        }
-        // txallo-lint: allow(lib-unwrap) — the candidate scan visits every shard 0..k and k >= 1, so best is always set
-        let q = best.expect("k ≥ 1").0;
-        // Equals the serial `acc.get(q)`: the cache holds exactly the
-        // touched buckets and `get` reads 0.0 for untouched ones.
-        let w_vq = cand.iter().find(|&&(c, _)| c == q).map_or(0.0, |&(_, w)| w);
+        let (bucket, weight) = cands.get(i);
+        let (self_w, d_v) = (snap.self_loop(i), snap.incident_weight(i));
+        let (q, w_vq) = state.best_join(
+            self_w,
+            d_v,
+            bucket.iter().copied().zip(weight.iter().copied()),
+        );
         state.apply_join(q, self_w, d_v, w_vq);
         labels[g] = q;
         out.moves += 1;
@@ -433,106 +322,165 @@ fn epoch_sweep_parallel(
             }
         }
     }
-    // Restore the stamp state phase 2 starts from in the serial kernel:
-    // every row stale (so the first sweep-boundary pre-gather refreshes
-    // all caches against the post-placement labels), no evaluations seen.
-    links_dirty.iter_mut().for_each(|x| *x = 1);
-    gathered_at.iter_mut().for_each(|x| *x = 0);
+    links_dirty.fill(1);
+    gathered_at.fill(0);
+}
 
-    // ---- Phase 2 (lines 9–17): optimize over V̂ with stamp skipping.
-    let mut move_stamp: u64 = 1; // bumped on every committed move
-    loop {
-        // Refresh every stale gather against the sweep-boundary labels.
-        {
-            let labels_ro: &[u32] = labels;
-            let ld: &[u64] = links_dirty;
-            let ga: &[u64] = gathered_at;
-            par::for_each_chunk_mut(&bounds, &mut cand_cache[..t], pool, |lo, caches, acc| {
-                for (idx, cache) in caches.iter_mut().enumerate() {
-                    let i = lo + idx;
-                    if ld[i] <= ga[i] {
-                        continue;
+/// One phase-2 sweep over the snapshot rows in order (lines 10–16),
+/// returning the sweep's total gain.
+///
+/// A row's decision depends on (a) its cached candidates, valid until a
+/// snapshot neighbor moves (`links_dirty` vs `gathered_at`), and (b) the
+/// accounting state of its own and its candidate communities
+/// (`comm_stamp` vs `last_eval`); a row whose inputs are all unchanged
+/// since its last evaluation is skipped outright.
+fn optimize_pass(
+    snap: &DeltaCsr,
+    labels: &mut [u32],
+    state: &mut CommunityState,
+    k: usize,
+    scratch: &mut SweepScratch,
+    move_stamp: &mut u64,
+    out: &mut EpochSweepOutcome,
+) -> f64 {
+    let SweepScratch {
+        acc,
+        last_eval,
+        gathered_at,
+        links_dirty,
+        comm_stamp,
+        local_labels,
+        cands,
+        ..
+    } = scratch;
+    let mut delta = 0.0;
+    for i in 0..snap.len() {
+        let p = local_labels[i];
+        if links_dirty[i] <= gathered_at[i] {
+            let seen = last_eval[i];
+            if comm_stamp[p as usize] <= seen
+                && cands
+                    .get(i)
+                    .0
+                    .iter()
+                    .all(|&c| comm_stamp[c as usize] <= seen)
+            {
+                continue; // Inputs unchanged: evaluation would no-op.
+            }
+        } else {
+            gather_row(snap, i, labels, k, acc);
+            gathered_at[i] = *move_stamp;
+            cands.store(i, acc);
+        }
+        last_eval[i] = *move_stamp;
+        let (bucket, weight) = cands.get(i);
+        if bucket.is_empty() || (bucket.len() == 1 && bucket[0] == p) {
+            continue; // C_v = ∅ or v only touches its own community.
+        }
+        let self_w = snap.self_loop(i);
+        let d_v = snap.incident_weight(i);
+        let w_vp = bucket
+            .iter()
+            .position(|&c| c == p)
+            .map_or(0.0, |j| weight[j]);
+        let leave = state.leave_gain(p, self_w, d_v, w_vp);
+
+        // Candidates are sorted ascending; a later candidate must beat
+        // the best by > GAIN_EPS.
+        let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
+        for (&q, &w_vq) in bucket.iter().zip(weight) {
+            if q == p {
+                continue;
+            }
+            let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
+            match best {
+                Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
+                _ => best = Some((q, gain, w_vq)),
+            }
+        }
+        if let Some((q, gain, w_vq)) = best {
+            if gain > 0.0 {
+                state.apply_leave(p, self_w, d_v, w_vp);
+                state.apply_join(q, self_w, d_v, w_vq);
+                labels[snap.global_id(i) as usize] = q;
+                local_labels[i] = q;
+                delta += gain;
+                out.total_gain += gain;
+                out.moves += 1;
+                *move_stamp += 1;
+                comm_stamp[p as usize] = *move_stamp;
+                comm_stamp[q as usize] = *move_stamp;
+                // Only snapshot members can move, so only they cache
+                // link weights that just went stale. The `local_of`
+                // lookup is paid per committed move, not per edge of
+                // the snapshot build.
+                let (targets, _) = snap.row(i);
+                for &u in targets {
+                    if let Some(lt) = snap.local_of(u) {
+                        links_dirty[lt as usize] = *move_stamp;
                     }
-                    gather_row(snap, i, labels_ro, k, acc);
-                    cache.clear();
-                    cache.extend(acc.entries());
-                }
-            });
-        }
-        for i in 0..t {
-            if links_dirty[i] > gathered_at[i] {
-                gathered_at[i] = move_stamp;
-            }
-        }
-
-        let mut delta = 0.0;
-        for i in 0..t {
-            let g = snap.global_id(i) as usize;
-            let p = labels[g];
-            let links_fresh = links_dirty[i] <= gathered_at[i];
-            if links_fresh {
-                let seen = last_eval[i];
-                if comm_stamp[p as usize] <= seen
-                    && cand_cache[i]
-                        .iter()
-                        .all(|&(c, _)| comm_stamp[c as usize] <= seen)
-                {
-                    continue; // Inputs unchanged: evaluation would no-op.
-                }
-            } else {
-                gather_row(snap, i, labels, k, acc);
-                gathered_at[i] = move_stamp;
-                cand_cache[i].clear();
-                cand_cache[i].extend(acc.entries());
-            }
-            last_eval[i] = move_stamp;
-            let cand = &cand_cache[i];
-            if cand.is_empty() || (cand.len() == 1 && cand[0].0 == p) {
-                continue; // C_v = ∅ or v only touches its own community.
-            }
-            let self_w = snap.self_loop(i);
-            let d_v = snap.incident_weight(i);
-            let w_vp = cand.iter().find(|&&(c, _)| c == p).map_or(0.0, |&(_, w)| w);
-            let leave = state.leave_gain(p, self_w, d_v, w_vp);
-
-            // Candidates are sorted ascending; a later candidate must beat
-            // the best by > GAIN_EPS.
-            let mut best: Option<(u32, f64, f64)> = None; // (q, gain, w_vq)
-            for &(q, w_vq) in cand {
-                if q == p {
-                    continue;
-                }
-                let gain = leave + state.join_gain(q, self_w, d_v, w_vq);
-                match best {
-                    Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
-                    _ => best = Some((q, gain, w_vq)),
                 }
             }
-            if let Some((q, gain, w_vq)) = best {
-                if gain > 0.0 {
-                    state.apply_leave(p, self_w, d_v, w_vp);
-                    state.apply_join(q, self_w, d_v, w_vq);
-                    labels[g] = q;
-                    delta += gain;
-                    out.total_gain += gain;
-                    out.moves += 1;
-                    move_stamp += 1;
-                    comm_stamp[p as usize] = move_stamp;
-                    comm_stamp[q as usize] = move_stamp;
-                    let (targets, _) = snap.row(i);
-                    for &u in targets {
-                        if let Some(lt) = snap.local_of(u) {
-                            links_dirty[lt as usize] = move_stamp;
-                        }
-                    }
-                }
-            }
-        }
-        out.sweeps += 1;
-        if delta < epsilon || out.sweeps >= max_sweeps {
-            break;
         }
     }
+    delta
+}
 
-    out
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::TxAlloParams;
+    use txallo_graph::{NodeId, TxGraph};
+    use txallo_model::{AccountId, Transaction};
+
+    /// The scratch's byte count covers the candidate arena by capacity and
+    /// does not creep upward when epochs of one shape land different
+    /// accounts on each row.
+    #[test]
+    fn scratch_bytes_count_the_arena_and_stay_flat() {
+        // A circulant graph: every account has the same degree (6), so
+        // any touched set of a given size yields the same slot layout.
+        let n = 48u64;
+        let mut g = TxGraph::new();
+        for v in 0..n {
+            for d in [1u64, 2, 5] {
+                g.ingest_transaction(&Transaction::transfer(AccountId(v), AccountId((v + d) % n)));
+            }
+        }
+        let k = 4;
+        let params = TxAlloParams::for_graph(&g, k);
+        let initial: Vec<u32> = (0..n as u32).map(|v| (v * 7 % 11) % k as u32).collect();
+        let mut scratch = SweepScratch::default();
+        let mut warm_bytes = None;
+        for round in 0..8u32 {
+            // Same size, rotated membership: each row holds a different
+            // account every round.
+            let touched: Vec<NodeId> = (0..16u32).map(|i| (3 * i + round) % n as u32).collect();
+            let snap = DeltaCsr::snapshot_touched(&g, &touched);
+            let mut labels = initial.clone();
+            let mut state =
+                CommunityState::from_labels(&g, &labels, k, params.eta, params.capacity);
+            epoch_sweep(
+                &snap,
+                &mut labels,
+                &mut state,
+                params.epsilon,
+                params.max_sweeps,
+                &mut scratch,
+                1,
+            );
+            let widths: usize = (0..snap.len()).map(|i| snap.row(i).0.len().min(k)).sum();
+            assert_eq!(widths, 16 * k, "fixture: every slot is k wide");
+            assert!(
+                scratch.cands.approx_bytes() >= widths * 12 + (2 * snap.len() + 1) * 4,
+                "the arena is counted by capacity"
+            );
+            assert!(scratch.approx_bytes() >= scratch.cands.approx_bytes() + 3 * 16 * 8);
+            let bytes = scratch.approx_bytes();
+            match warm_bytes {
+                None => warm_bytes = Some(bytes),
+                Some(first) => assert_eq!(bytes, first, "round {round}: scratch grew"),
+            }
+        }
+    }
 }

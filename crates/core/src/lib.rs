@@ -49,7 +49,7 @@ pub mod streaming;
 
 pub use ablation::{gtxallo_full_scan, gtxallo_with_init_strategy, InitStrategy};
 pub use allocation::Allocation;
-pub use atxallo::{AtxAllo, AtxAlloOutcome, UpdatePath};
+pub use atxallo::{AtxAllo, AtxAlloCounters, AtxAlloOutcome, UpdatePath};
 pub use broker::{
     allocate_with_brokers, evaluate_with_brokers, select_split_accounts, BrokerConfig,
     BrokeredReport, MaskedGraph,

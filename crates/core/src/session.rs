@@ -43,7 +43,7 @@ use txallo_graph::{BlockNodes, DeltaCsr, NodeId, TxGraph, WeightedGraph};
 use txallo_model::Block;
 
 use crate::allocation::Allocation;
-use crate::atxallo::{AtxAlloOutcome, UpdatePath};
+use crate::atxallo::{AtxAlloCounters, UpdatePath};
 use crate::incremental::{epoch_sweep, SweepScratch};
 use crate::params::TxAlloParams;
 use crate::state::{CommunityState, UNASSIGNED};
@@ -58,7 +58,8 @@ pub struct AtxAlloSession {
     /// Snapshot buffer, refilled per epoch ([`DeltaCsr::refill_touched`])
     /// so row storage is allocated once per session, not once per epoch.
     snap: DeltaCsr,
-    /// Sweep-kernel buffers (stamp arrays, candidate caches), same deal.
+    /// Sweep-kernel buffers (stamp arrays, label mirror, candidate
+    /// arena), same deal.
     scratch: SweepScratch,
 }
 
@@ -119,6 +120,12 @@ impl AtxAlloSession {
     /// The current account-shard mapping.
     pub fn allocation(&self) -> Allocation {
         Allocation::new(self.labels.clone(), self.shards)
+    }
+
+    /// Closes the session, moving its labels into an [`Allocation`]
+    /// without a copy.
+    pub fn into_allocation(self) -> Allocation {
+        Allocation::new(self.labels, self.shards)
     }
 
     /// The raw label vector (index = node id; nodes ingested since the
@@ -352,8 +359,10 @@ impl AtxAlloSession {
     }
 
     /// Runs the epoch update over `touched`, mutating the session's labels
-    /// and aggregates in place and reporting the same outcome as the
-    /// stateless [`AtxAllo::update`](crate::AtxAllo::update).
+    /// and aggregates in place and reporting the same counters as the
+    /// stateless [`AtxAllo::update`](crate::AtxAllo::update). The updated
+    /// mapping is read through [`AtxAlloSession::labels`]; nothing
+    /// `O(n)` is copied per epoch.
     ///
     /// `params` is taken fresh each epoch because `λ = |T|/k` and `ε`
     /// scale with the accumulated weight; the snapshot route follows
@@ -364,7 +373,7 @@ impl AtxAlloSession {
         graph: &TxGraph,
         touched: &[NodeId],
         params: &TxAlloParams,
-    ) -> AtxAlloOutcome {
+    ) -> AtxAlloCounters {
         let n = graph.node_count();
         let frac = if n == 0 {
             0.0
@@ -389,7 +398,7 @@ impl AtxAlloSession {
         touched: &[NodeId],
         params: &TxAlloParams,
         path: UpdatePath,
-    ) -> AtxAlloOutcome {
+    ) -> AtxAlloCounters {
         assert_eq!(
             params.shards, self.shards,
             "shard count is fixed per session"
@@ -411,8 +420,7 @@ impl AtxAlloSession {
             params.threads,
         );
 
-        AtxAlloOutcome {
-            allocation: Allocation::new(self.labels.clone(), self.shards),
+        AtxAlloCounters {
             new_nodes: out.new_nodes,
             sweeps: out.sweeps,
             total_gain: out.total_gain,
@@ -496,11 +504,12 @@ mod tests {
             let params = TxAlloParams::for_graph(&g, 2);
 
             session.apply_block(&g, &block);
-            let from_session = session.update(&g, &touched, &params);
+            session.update(&g, &touched, &params);
             let from_stateless = AtxAllo::new(params).update(&g, &stateless_prev, &touched);
 
             assert_eq!(
-                from_session.allocation, from_stateless.allocation,
+                session.allocation(),
+                from_stateless.allocation,
                 "epoch {h}: session diverged from stateless"
             );
             assert!(
@@ -637,7 +646,7 @@ mod tests {
         let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
         let mut session = AtxAlloSession::new(&g, &prev, &params);
         let out = session.update(&g, &[], &params);
-        assert_eq!(out.allocation, prev);
+        assert_eq!(session.allocation(), prev);
         assert_eq!(out.moves, 0);
     }
 }

@@ -1,6 +1,7 @@
 //! Per-community workload/throughput accounting and the §V-B gain formulas.
 
 use txallo_graph::{fit_u32, DenseAccumulator, NodeId, WeightedGraph};
+use txallo_louvain::GAIN_EPS;
 
 /// Label value for nodes not yet assigned to any community.
 ///
@@ -106,6 +107,12 @@ impl MoveScratch {
     /// `(community, weight)` candidates in ascending community order.
     pub fn candidates(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.link.entries()
+    }
+
+    /// The gathered links as an accumulator, for copying into a
+    /// [`txallo_graph::CandidateCache`] slot.
+    pub(crate) fn links(&self) -> &DenseAccumulator {
+        &self.link
     }
 }
 
@@ -341,6 +348,62 @@ impl CommunityState {
     pub fn join_gain(&self, q: u32, self_w: f64, d_v: f64, w_vq: f64) -> f64 {
         let (sigma_new, hat_new) = self.joined_state(q, self_w, d_v, w_vq);
         self.gain_vs_current(q, sigma_new, hat_new)
+    }
+
+    /// Best community for an unassigned node by join gain (Eq. 6) over
+    /// its `(community, weight)` candidates in ascending community order,
+    /// or over every community when it has none (Algorithm 1 lines 4–6,
+    /// Algorithm 2 lines 3–5). Returns the community and the node's link
+    /// weight into it (0 when it came from the fallback).
+    ///
+    /// Ties on the gain (within [`GAIN_EPS`]) are broken toward the
+    /// *least-loaded* community (then the smaller id). This matters: nodes
+    /// from dissolved small communities often have identical gains across
+    /// every candidate, and an id-based tie-break would funnel them all —
+    /// plus their neighbors, by cascade — into community 0, wrecking the
+    /// balance the objective is supposed to protect. Ties are judged
+    /// against the running *maximum* gain (not the selected candidate's
+    /// gain), so the selected community is always within `GAIN_EPS` of the
+    /// true best — the tie window cannot slide downward across a chain of
+    /// near-ties. When a new maximum pushes the selected candidate below
+    /// `max − GAIN_EPS`, the max-holder takes over.
+    pub(crate) fn best_join(
+        &self,
+        self_w: f64,
+        d_v: f64,
+        cands: impl Iterator<Item = (u32, f64)>,
+    ) -> (u32, f64) {
+        let mut best: Option<(u32, f64, f64, f64)> = None; // (q, gain, sigma, w_vq)
+        let mut max_gain = f64::NEG_INFINITY;
+        let mut consider = |q: u32, w_vq: f64| {
+            let gain = self.join_gain(q, self_w, d_v, w_vq);
+            let sigma = self.sigma(q);
+            if gain > max_gain {
+                max_gain = gain;
+            }
+            let better = match best {
+                None => true,
+                Some((_, bg, bs, _)) => {
+                    bg < max_gain - GAIN_EPS || (gain >= max_gain - GAIN_EPS && sigma < bs)
+                }
+            };
+            if better {
+                best = Some((q, gain, sigma, w_vq));
+            }
+        };
+        let mut any = false;
+        for (q, w_vq) in cands {
+            any = true;
+            consider(q, w_vq);
+        }
+        if !any {
+            for q in 0..fit_u32(self.community_count()) {
+                consider(q, 0.0);
+            }
+        }
+        // txallo-lint: allow(lib-unwrap) — the fallback visits every community 0..k and k >= 1, so best is always set
+        let (q, _, _, w_vq) = best.expect("k ≥ 1 guarantees a candidate");
+        (q, w_vq)
     }
 
     fn joined_state(&self, q: u32, self_w: f64, d_v: f64, w_vq: f64) -> (f64, f64) {

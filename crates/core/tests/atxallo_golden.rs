@@ -131,6 +131,15 @@ fn consider_join(
     }
 }
 
+/// Counters of one reference epoch update, floats as raw bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ReferenceCounters {
+    new_nodes: usize,
+    sweeps: usize,
+    moves: usize,
+    total_gain_bits: u64,
+}
+
 /// Reference re-implementation of the A-TxAllo epoch update: same snapshot
 /// rows, same gain formulas and tie contract, but ordered-map gathering
 /// and a full re-gather of every node in every sweep (no candidate cache,
@@ -147,7 +156,27 @@ fn reference_update(
     labels.resize(n, UNASSIGNED);
     let mut state = CommunityState::from_labels(graph, &labels, k, params.eta, params.capacity);
     let snap = DeltaCsr::snapshot_touched(graph, touched);
+    reference_sweep(params, &snap, &mut labels, &mut state);
+    Allocation::new(labels, k)
+}
+
+/// Both phases of the reference epoch update over `snap`, from the given
+/// labels (global id space, covering every node) and aggregates.
+fn reference_sweep(
+    params: &TxAlloParams,
+    snap: &DeltaCsr,
+    labels: &mut [u32],
+    state: &mut CommunityState,
+) -> ReferenceCounters {
+    let k = params.shards;
     let mut link: BTreeMap<u32, f64> = BTreeMap::new();
+    let mut out = ReferenceCounters {
+        new_nodes: 0,
+        sweeps: 0,
+        moves: 0,
+        total_gain_bits: 0,
+    };
+    let mut total_gain = 0.0f64;
 
     // Phase 1: place brand-new nodes.
     for i in 0..snap.len() {
@@ -155,47 +184,48 @@ fn reference_update(
         if labels[g] != UNASSIGNED {
             continue;
         }
-        gather_reference(&snap, i, &labels, &mut link);
+        gather_reference(snap, i, labels, &mut link);
         let self_w = snap.self_loop(i);
         let d_v = snap.incident_weight(i);
         let mut best: Option<(u32, f64, f64)> = None;
         let mut max_gain = f64::NEG_INFINITY;
         if link.is_empty() {
             for q in 0..k as u32 {
-                consider_join(&state, q, self_w, d_v, 0.0, &mut best, &mut max_gain);
+                consider_join(state, q, self_w, d_v, 0.0, &mut best, &mut max_gain);
             }
         } else {
             for (&q, &w_vq) in &link {
-                consider_join(&state, q, self_w, d_v, w_vq, &mut best, &mut max_gain);
+                consider_join(state, q, self_w, d_v, w_vq, &mut best, &mut max_gain);
             }
         }
         let q = best.expect("k >= 1").0;
         let w_vq = link.get(&q).copied().unwrap_or(0.0);
         state.apply_join(q, self_w, d_v, w_vq);
         labels[g] = q;
+        out.new_nodes += 1;
+        out.moves += 1;
     }
 
     // Phase 2: optimize over the touched set, re-gathering every visit.
-    let mut sweeps = 0usize;
     loop {
         let mut delta = 0.0;
         for i in 0..snap.len() {
             let g = snap.global_id(i) as usize;
             let p = labels[g];
-            gather_reference(&snap, i, &labels, &mut link);
+            gather_reference(snap, i, labels, &mut link);
             if link.is_empty() || (link.len() == 1 && link.contains_key(&p)) {
                 continue;
             }
             let self_w = snap.self_loop(i);
             let d_v = snap.incident_weight(i);
             let w_vp = link.get(&p).copied().unwrap_or(0.0);
-            let leave = raw_leave_gain(&state, p, self_w, d_v, w_vp);
+            let leave = raw_leave_gain(state, p, self_w, d_v, w_vp);
             let mut best: Option<(u32, f64, f64)> = None;
             for (&q, &w_vq) in &link {
                 if q == p {
                     continue;
                 }
-                let gain = leave + raw_join_gain(&state, q, self_w, d_v, w_vq);
+                let gain = leave + raw_join_gain(state, q, self_w, d_v, w_vq);
                 match best {
                     Some((_, bg, _)) if gain <= bg + GAIN_EPS => {}
                     _ => best = Some((q, gain, w_vq)),
@@ -207,16 +237,18 @@ fn reference_update(
                     state.apply_join(q, self_w, d_v, w_vq);
                     labels[g] = q;
                     delta += gain;
+                    total_gain += gain;
+                    out.moves += 1;
                 }
             }
         }
-        sweeps += 1;
-        if delta < params.epsilon || sweeps >= params.max_sweeps {
+        out.sweeps += 1;
+        if delta < params.epsilon || out.sweeps >= params.max_sweeps {
             break;
         }
     }
-
-    Allocation::new(labels, k)
+    out.total_gain_bits = total_gain.to_bits();
+    out
 }
 
 /// A generated case: base transfers, epoch blocks of transfers, shard `k`.
@@ -290,13 +322,13 @@ proptest! {
             let touched = g.ingest_block(&block);
             folded.apply_block(&g, &block);
             let params = TxAlloParams::for_graph(&g, k);
-            let from_folded = folded.update(&g, &touched, &params);
+            folded.update(&g, &touched, &params);
             // The rebuild path: fresh aggregates from the decayed graph.
             let mut rebuilt = AtxAlloSession::new(&g, &rebuild_prev, &params);
-            let from_rebuilt = rebuilt.update(&g, &touched, &params);
+            rebuilt.update(&g, &touched, &params);
             prop_assert_eq!(
-                from_folded.allocation.labels(),
-                from_rebuilt.allocation.labels(),
+                folded.labels(),
+                rebuilt.labels(),
                 "folded decay diverged from rebuild at epoch {}",
                 h
             );
@@ -305,7 +337,7 @@ proptest! {
                 "aggregates drifted beyond the incremental contract at epoch {}",
                 h
             );
-            rebuild_prev = from_rebuilt.allocation;
+            rebuild_prev = rebuilt.into_allocation();
         }
     }
 
@@ -402,12 +434,12 @@ fn long_decay_stream_matches_rebuild() {
         let touched = g.ingest_block(&block);
         folded.apply_block(&g, &block);
         let params = TxAlloParams::for_graph(&g, 3);
-        let from_folded = folded.update(&g, &touched, &params);
+        folded.update(&g, &touched, &params);
         let mut rebuilt = AtxAlloSession::new(&g, &rebuild_prev, &params);
-        let from_rebuilt = rebuilt.update(&g, &touched, &params);
+        rebuilt.update(&g, &touched, &params);
         assert_eq!(
-            from_folded.allocation.labels(),
-            from_rebuilt.allocation.labels(),
+            folded.labels(),
+            rebuilt.labels(),
             "fold diverged from rebuild at epoch {epoch}"
         );
         // The rebuild recomputes non-negative aggregates from the graph;
@@ -415,7 +447,7 @@ fn long_decay_stream_matches_rebuild() {
         // to the usual incremental drift) after a hundred-plus rescales.
         let err = folded.consistency_error(&g);
         assert!(err < 1e-9, "epoch {epoch}: aggregates drifted by {err}");
-        rebuild_prev = from_rebuilt.allocation;
+        rebuild_prev = rebuilt.into_allocation();
     }
 }
 
@@ -495,4 +527,138 @@ fn all_new_accounts_epoch() {
     for v in 0..prev.len() as NodeId {
         assert_eq!(inc.allocation.shard_of(v), prev.shard_of(v));
     }
+}
+
+/// A deterministic account-pair stream (64-bit LCG), so the warm-scratch
+/// scenario below is reproducible without a proptest seed.
+fn lcg_pairs(seed: u64, count: usize, accounts: u64) -> Vec<(u64, u64)> {
+    let mut x = seed;
+    let mut next = || {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % accounts
+    };
+    (0..count).map(|_| (next(), next())).collect()
+}
+
+/// Everything one session epoch exposes, floats as raw bits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SessionEpoch {
+    labels: Vec<u32>,
+    counters: ReferenceCounters,
+    intra_bits: Vec<u64>,
+    cut_bits: Vec<u64>,
+}
+
+fn session_epoch(session: &AtxAlloSession, counters: ReferenceCounters, k: usize) -> SessionEpoch {
+    SessionEpoch {
+        labels: session.labels().to_vec(),
+        counters,
+        intra_bits: (0..k as u32)
+            .map(|c| session.state().intra(c).to_bits())
+            .collect(),
+        cut_bits: (0..k as u32)
+            .map(|c| session.state().cut(c).to_bits())
+            .collect(),
+    }
+}
+
+/// One session carries its sweep scratch (stamp arrays, label mirror,
+/// candidate arena) across epochs whose touched set grows and then
+/// shrinks. After every epoch its labels, counters and aggregates must
+/// equal, bit for bit, a twin session with fresh scratch opened from the
+/// same labels and aggregates, and the cache-free reference run from the
+/// same state. A hub account trading with every cluster fills its
+/// candidate slot to the `k` bound.
+fn check_warm_scratch_matches_fresh_and_reference(k: usize) {
+    // Four 6-account cliques.
+    let mut base = Vec::new();
+    for c in 0..4u64 {
+        for i in 0..6 {
+            for j in (i + 1)..6 {
+                base.push((c * 6 + i, c * 6 + j));
+            }
+        }
+    }
+    let mut g = build_graph(&base);
+    let params = TxAlloParams::for_graph(&g, k);
+    let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
+    let mut warm = AtxAlloSession::new(&g, &prev, &params);
+
+    const HUB: u64 = 900;
+    let sizes = [2usize, 5, 12, 24, 9, 3, 1];
+    for (h, &size) in sizes.iter().enumerate() {
+        // Existing accounts 0..24 plus newcomers up to 40; epochs 2 and 4
+        // also connect the hub to one member of every cluster.
+        let mut pairs = lcg_pairs(h as u64 + 1, size, 40);
+        if h == 2 || h == 4 {
+            pairs.extend((0..4u64).map(|c| (HUB, c * 6 + h as u64)));
+        }
+        let block = block_of(h as u64, &pairs);
+        let touched = g.ingest_block(&block);
+        warm.apply_block(&g, &block);
+        let params = TxAlloParams::for_graph(&g, k);
+
+        let mut fresh = AtxAlloSession::from_parts(k, warm.labels().to_vec(), warm.state().clone());
+        let mut ref_labels = warm.labels().to_vec();
+        ref_labels.resize(g.node_count(), UNASSIGNED);
+        let mut ref_state = warm.state().clone();
+        ref_state.set_limits(params.eta, params.capacity);
+
+        let w = warm.update(&g, &touched, &params);
+        let f = fresh.update(&g, &touched, &params);
+        // The reference reads the snapshot the session's route produced.
+        let snap = match w.path {
+            UpdatePath::Incremental => DeltaCsr::snapshot_touched(&g, &touched),
+            UpdatePath::Full => DeltaCsr::snapshot_full(&g, &touched),
+        };
+        let r = reference_sweep(&params, &snap, &mut ref_labels, &mut ref_state);
+
+        let counters_of = |o: txallo_core::AtxAlloCounters| ReferenceCounters {
+            new_nodes: o.new_nodes,
+            sweeps: o.sweeps,
+            moves: o.moves,
+            total_gain_bits: o.total_gain.to_bits(),
+        };
+        let got = session_epoch(&warm, counters_of(w), k);
+        assert_eq!(
+            got,
+            session_epoch(&fresh, counters_of(f), k),
+            "k={k} epoch {h}: warm vs fresh"
+        );
+        let reference = SessionEpoch {
+            labels: ref_labels,
+            counters: r,
+            intra_bits: (0..k as u32)
+                .map(|c| ref_state.intra(c).to_bits())
+                .collect(),
+            cut_bits: (0..k as u32).map(|c| ref_state.cut(c).to_bits()).collect(),
+        };
+        assert_eq!(got, reference, "k={k} epoch {h}: warm vs reference");
+
+        if h == 2 || h == 4 {
+            // The hub's neighbors span every community: its slot is full.
+            let hub = g.node_of(AccountId(HUB)).expect("hub ingested");
+            let mut spanned: Vec<u32> = Vec::new();
+            g.for_each_neighbor(hub, |u, _| spanned.push(warm.labels()[u as usize]));
+            spanned.sort_unstable();
+            spanned.dedup();
+            assert_eq!(
+                spanned.len(),
+                k,
+                "k={k} epoch {h}: hub spans every community"
+            );
+        }
+    }
+}
+
+#[test]
+fn warm_scratch_matches_fresh_and_reference() {
+    check_warm_scratch_matches_fresh_and_reference(4);
+}
+
+#[test]
+fn warm_scratch_matches_fresh_and_reference_single_shard() {
+    check_warm_scratch_matches_fresh_and_reference(1);
 }

@@ -10,11 +10,14 @@
 //! and 8 threads, and *everything observable* must come out
 //! byte-for-byte equal to the serial run — labels, per-epoch counters,
 //! accumulated gains (compared as raw bits), and the full
-//! [`AllocationUpdate`] diffs of the streaming surface.
+//! [`AllocationUpdate`] diffs of the streaming surface. One warm
+//! [`AtxAlloSession`] is also carried across longer streams, so the sweep
+//! scratch it reuses between epochs is pinned at every count too.
 
 use proptest::prelude::*;
 use txallo_core::{
-    AdaptiveStream, Allocation, AtxAllo, EpochKind, GTxAllo, StreamingAllocator, TxAlloParams,
+    AdaptiveStream, Allocation, AtxAllo, AtxAlloSession, EpochKind, GTxAllo, StreamingAllocator,
+    TxAlloParams,
 };
 use txallo_graph::TxGraph;
 use txallo_model::{AccountId, Block, Transaction};
@@ -103,6 +106,48 @@ fn replay(stream: &DeltaStream, threads: usize) -> Vec<(EpochTrace, EpochTrace)>
     out
 }
 
+/// Strategy for the warm-session replay: 6–8 epochs of 1–30 transfers
+/// each, so the touched set grows and shrinks across one session's life.
+fn long_stream_strategy() -> impl Strategy<Value = DeltaStream> {
+    (
+        prop::collection::vec((0u64..30, 0u64..30), 10..80),
+        prop::collection::vec(prop::collection::vec((0u64..45, 0u64..45), 1..30), 6..9),
+        1usize..5,
+    )
+}
+
+/// Replays the delta stream through **one** [`AtxAlloSession`] at
+/// `threads` workers, so its sweep scratch stays warm across epochs;
+/// records labels, counters and the aggregates' raw bits per epoch.
+fn replay_session(stream: &DeltaStream, threads: usize) -> Vec<(EpochTrace, Vec<u64>)> {
+    let (base, epochs, k) = stream;
+    let mut g = build_graph(base);
+    let params = TxAlloParams::for_graph(&g, *k).with_threads(threads);
+    let prev = GTxAllo::new(params.clone()).allocate_graph(&g);
+    let mut session = AtxAlloSession::new(&g, &prev, &params);
+    let mut out = Vec::new();
+    for (h, pairs) in epochs.iter().enumerate() {
+        let block = block_of(h as u64, pairs);
+        let touched = g.ingest_block(&block);
+        session.apply_block(&g, &block);
+        let params = TxAlloParams::for_graph(&g, *k).with_threads(threads);
+        let o = session.update(&g, &touched, &params);
+        let trace = EpochTrace {
+            labels: session.labels().to_vec(),
+            new_nodes: o.new_nodes,
+            sweeps: o.sweeps,
+            moves: o.moves,
+            total_gain_bits: o.total_gain.to_bits(),
+        };
+        let aggregates = (0..*k as u32)
+            .flat_map(|c| [session.state().intra(c), session.state().cut(c)])
+            .map(f64::to_bits)
+            .collect();
+        out.push((trace, aggregates));
+    }
+    out
+}
+
 /// Replays the streaming surface ([`AdaptiveStream`]) at `threads`
 /// workers: begin on the base graph, feed each epoch's block, close with
 /// the scheduled kind — recording the rendered [`AllocationUpdate`] (its
@@ -170,6 +215,18 @@ proptest! {
         let serial = replay(&stream, THREADS[0]);
         for &t in &THREADS[1..] {
             let traced = replay(&stream, t);
+            prop_assert_eq!(&traced, &serial, "{} threads diverged", t);
+        }
+    }
+
+    /// One warm session carried across 6–8 epochs — its sweep scratch
+    /// re-laid every epoch for a touched set that grows and shrinks — is
+    /// bit-identical at every thread count, aggregates included.
+    #[test]
+    fn warm_session_is_bit_identical_at_every_thread_count(stream in long_stream_strategy()) {
+        let serial = replay_session(&stream, THREADS[0]);
+        for &t in &THREADS[1..] {
+            let traced = replay_session(&stream, t);
             prop_assert_eq!(&traced, &serial, "{} threads diverged", t);
         }
     }

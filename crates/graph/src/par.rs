@@ -18,7 +18,8 @@
 //!   offsets array.
 //! * [`for_each_chunk_mut`] — scoped-thread execution over those ranges,
 //!   each chunk owning a disjoint `&mut` window of one per-row output
-//!   slice plus its own scratch instance.
+//!   slice plus its own scratch instance; [`for_each_part_mut`] is the
+//!   same execution over windows the caller split itself.
 //! * [`threads_from_env`] — the `TXALLO_THREADS` override backing the
 //!   default of every thread-count knob ([`TxAlloParams::threads`],
 //!   [`LouvainConfig::threads`]); unset means `1`, the exact serial
@@ -150,25 +151,49 @@ where
     S: Send,
     F: Fn(usize, &mut [T], &mut S) + Sync,
 {
-    let chunks = bounds.len() - 1;
-    assert!(scratch.len() >= chunks, "one scratch instance per chunk");
-    assert_eq!(*bounds.last().expect("non-empty bounds"), data.len()); // txallo-lint: allow(lib-unwrap) — chunks = bounds.len() - 1 did not underflow, so bounds has at least one element
-    if chunks == 1 {
-        f(bounds[0], data, &mut scratch[0]);
+    assert_eq!(*bounds.last().expect("non-empty bounds"), data.len()); // txallo-lint: allow(lib-unwrap) — callers pass `[0, …, n]`; an empty bounds slice is a program bug worth stopping on
+    let mut rest: &mut [T] = data;
+    let mut windows = Vec::with_capacity(bounds.len() - 1);
+    for pair in bounds.windows(2) {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(pair[1] - pair[0]);
+        rest = tail;
+        windows.push((pair[0], chunk));
+    }
+    for_each_part_mut(&mut windows, scratch, |(lo, chunk), s| f(*lo, chunk, s));
+}
+
+/// Runs `f(part, scratch)` for every element of `parts`, each with
+/// exclusive use of the matching `scratch` instance — the execution half
+/// of [`for_each_chunk_mut`], for callers whose disjoint per-chunk
+/// windows are not plain sub-slices of one array (e.g. the slots of a
+/// [`crate::CandidateCache`], split by
+/// [`crate::CandidateCache::windows_mut`]).
+///
+/// A single part runs inline on the calling thread; several run under
+/// [`std::thread::scope`], one thread per part. Each part is written only
+/// by its own thread, so the result is independent of which part
+/// finishes first.
+///
+/// # Panics
+/// Panics when `scratch` has fewer instances than `parts`.
+pub fn for_each_part_mut<T, S, F>(parts: &mut [T], scratch: &mut [S], f: F)
+where
+    T: Send,
+    S: Send,
+    F: Fn(&mut T, &mut S) + Sync,
+{
+    assert!(
+        scratch.len() >= parts.len(),
+        "one scratch instance per chunk"
+    );
+    if let [part] = parts {
+        f(part, &mut scratch[0]);
         return;
     }
     std::thread::scope(|scope| {
-        let mut rest: &mut [T] = data;
-        let mut rest_s: &mut [S] = scratch;
-        for pair in bounds.windows(2) {
-            let (lo, hi) = (pair[0], pair[1]);
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let (s, tail_s) = rest_s.split_at_mut(1);
-            rest_s = tail_s;
-            let s0 = &mut s[0];
+        for (part, s) in parts.iter_mut().zip(scratch.iter_mut()) {
             let f = &f;
-            scope.spawn(move || f(lo, chunk, s0));
+            scope.spawn(move || f(part, s));
         }
     });
 }

@@ -554,14 +554,7 @@ pub fn local_moving_condensed(
                 // rebucket that entry the same way).
                 for p in offsets[vi]..offsets[vi + 1] {
                     let x = row_nbr[p] as usize;
-                    relocate_member(
-                        &mut groups[x],
-                        &row_nbr,
-                        &row_w,
-                        v,
-                        current,
-                        best_comm,
-                    );
+                    relocate_member(&mut groups[x], &row_nbr, &row_w, v, current, best_comm);
                 }
             }
         }
