@@ -16,6 +16,7 @@
 //!   recency         full-history vs window vs decayed training graphs
 //!   headline        γ at k = 60 (98% / 28% / 12% in the paper)
 //!   scale-stream    out-of-core streaming replay (--accounts/--epochs/--window;
+//!                   --spill-file PATH spills cold rows to a file instead of RAM;
 //!                   --max-resident-mib F exits nonzero on a ceiling breach)
 //!   bench-snapshot  hot-path component timings -> BENCH_pr8.json (or --out FILE)
 //!   all             everything above
@@ -41,6 +42,7 @@ fn main() {
     let mut stream_epochs: u64 = 60;
     let mut stream_window: u32 = 4;
     let mut max_resident_mib: Option<f64> = None;
+    let mut spill_file: Option<std::path::PathBuf> = None;
 
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -87,6 +89,13 @@ fn main() {
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--max-resident-mib needs a number")),
+                );
+            }
+            "--spill-file" => {
+                spill_file = Some(
+                    it.next()
+                        .map(Into::into)
+                        .unwrap_or_else(|| die("--spill-file needs a file path")),
                 );
             }
             name if experiment.is_none() && !name.starts_with('-') => {
@@ -144,6 +153,7 @@ fn main() {
                 accounts: stream_accounts,
                 epochs: stream_epochs,
                 window: stream_window,
+                spill_file,
                 seed: scale.seed,
                 ..StreamBenchConfig::at_scale(stream_accounts)
             };

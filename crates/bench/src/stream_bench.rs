@@ -10,6 +10,7 @@
 //! route forced, rehydrate-all ahead of any full-graph read), so the run
 //! is bit-identical to an in-core replay of the same workload.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use txallo_core::{AllocatorRegistry, EpochKind, HybridSchedule, TxAlloParams};
@@ -33,6 +34,9 @@ pub struct StreamBenchConfig {
     pub shards: usize,
     /// Residency window in epochs (0 = keep every row in core).
     pub window: u32,
+    /// Spill cold rows to this file (created or truncated) instead of an
+    /// in-memory log. Changes where cold bytes live, never an output.
+    pub spill_file: Option<PathBuf>,
     /// Per-epoch edge-weight decay (1.0 = none).
     pub decay: f64,
     /// Global-refresh gap (0 = adaptive-only epochs; warm-up always runs
@@ -55,6 +59,7 @@ impl StreamBenchConfig {
             block_size: 1_000,
             shards: 20,
             window: 4,
+            spill_file: None,
             decay: 0.9,
             global_gap: 0,
             seed: 42,
@@ -137,9 +142,10 @@ impl StreamBenchReport {
              \"fold\": {:.3}, \"update\": {:.3}, \"score\": {:.3}, \"evict\": {:.3}, \
              \"total\": {:.3}}}, \
              \"peak_resident_mib\": {:.1}, \"peak_graph_mib\": {:.1}, \
-             \"spilled_mib\": {:.1}, \"evicted_rows\": {}, \"restored_rows\": {}, \
-             \"final_cold_rows\": {}, \"final_resident_rows\": {}, \
-             \"final_allocator_mib\": {:.1}, \"avg_throughput_times\": {:.3}}}",
+             \"spilled_mib\": {:.1}, \"spill_bytes\": {}, \"evicted_rows\": {}, \
+             \"restored_rows\": {}, \"final_cold_rows\": {}, \"final_resident_rows\": {}, \
+             \"final_allocator_mib\": {:.1}, \"avg_throughput_times\": {:.3}, \
+             \"avg_throughput_bits\": \"{:016x}\"}}",
             c.accounts,
             c.epochs,
             c.epoch_blocks,
@@ -162,12 +168,14 @@ impl StreamBenchReport {
             self.peak_resident_bytes as f64 / MIB,
             self.peak_graph_bytes as f64 / MIB,
             f.spill_bytes as f64 / MIB,
+            f.spill_bytes,
             f.evicted_rows,
             f.restored_rows,
             f.cold_rows,
             f.resident_rows,
             self.final_allocator_bytes as f64 / MIB,
             self.avg_throughput,
+            self.avg_throughput.to_bits(),
         )
     }
 }
@@ -190,7 +198,10 @@ pub fn run_stream_bench(cfg: &StreamBenchConfig) -> StreamBenchReport {
 
     let mut graph = TxGraph::new();
     if cfg.window > 0 {
-        graph.enable_residency(&ResidencyConfig::in_memory(cfg.window));
+        graph.enable_residency(&match &cfg.spill_file {
+            Some(path) => ResidencyConfig::file(cfg.window, path),
+            None => ResidencyConfig::in_memory(cfg.window),
+        });
     }
     let schedule = if cfg.global_gap == 0 {
         HybridSchedule::AlwaysAdaptive
@@ -303,6 +314,7 @@ mod tests {
             block_size: 100,
             shards: 4,
             window: 1,
+            spill_file: None,
             decay: 0.9,
             global_gap: 3,
             seed: 7,
@@ -319,5 +331,39 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"phase_seconds\""));
         assert!(json.contains("\"peak_resident_mib\""));
+    }
+
+    #[test]
+    fn file_backed_spill_matches_the_in_memory_replay() {
+        let memory = StreamBenchConfig {
+            accounts: 3_000,
+            warm_epochs: 2,
+            epochs: 5,
+            epoch_blocks: 4,
+            block_size: 100,
+            shards: 4,
+            window: 1,
+            spill_file: None,
+            decay: 0.9,
+            global_gap: 3,
+            seed: 9,
+        };
+        let path =
+            std::env::temp_dir().join(format!("txallo-stream-bench-{}.spill", std::process::id()));
+        let file = StreamBenchConfig {
+            spill_file: Some(path.clone()),
+            ..memory.clone()
+        };
+        let (m, f) = (run_stream_bench(&memory), run_stream_bench(&file));
+        let on_disk = std::fs::metadata(&path).map(|md| md.len());
+        let _ = std::fs::remove_file(&path);
+        let (mf, ff) = (&m.final_footprint, &f.final_footprint);
+        assert!(mf.evicted_rows > 0, "window must evict");
+        assert_eq!(m.avg_throughput.to_bits(), f.avg_throughput.to_bits());
+        assert_eq!(
+            (mf.evicted_rows, mf.restored_rows, mf.spill_bytes),
+            (ff.evicted_rows, ff.restored_rows, ff.spill_bytes)
+        );
+        assert_eq!(on_disk.ok(), Some(ff.spill_bytes), "the log is on disk");
     }
 }

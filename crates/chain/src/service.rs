@@ -237,9 +237,11 @@ impl ChainService {
             }
         }
         self.engine.apply_reallocation(&substrate);
-        // The service's allocation holds those hash-fallback labels, so
-        // it re-syncs from the stream rather than replaying the diff.
-        self.allocation = self.stream.allocation();
+        // The service's allocation holds those hash-fallback labels, so it
+        // applies the rewritten diff, whose sources match them: O(moves)
+        // per boundary instead of a full O(accounts) copy of the stream's
+        // labels. Only a replaced stream (hash fallback, resume) re-syncs.
+        self.allocation.apply_update(&substrate);
         self.epochs_closed += 1;
         self.run_health_check();
         Some(update)
@@ -800,6 +802,47 @@ mod tests {
         let image = service.checkpoint().unwrap();
         let resumed = ChainService::resume(service_config(3, 10, 1000), &image).unwrap();
         assert_eq!(resumed.degradation(), Degradation::HashFallback);
+    }
+
+    /// The serving allocation follows the stream by applying each
+    /// boundary's diff, not by copying the stream's labels: under mixed
+    /// faults, across a resume and down both degradation rungs, it equals
+    /// the stream's own allocation at every boundary.
+    #[test]
+    fn allocation_tracks_the_stream_through_faults_resume_and_degradation() {
+        let mut gen = generator();
+        let config = service_config(3, 10, 3);
+        let mut service = ChainService::new(config.clone());
+        service.set_fault_plan(FaultPlan::mixed(5));
+        service.warmup(&gen.blocks(40));
+        let mut boundaries = 0;
+        let mut serve = |service: &mut ChainService, blocks: &[Block]| {
+            for b in blocks {
+                if service.process_block(b).is_some() {
+                    boundaries += 1;
+                    assert_eq!(
+                        service.allocation.labels(),
+                        service.stream.allocation().labels(),
+                        "boundary {boundaries}"
+                    );
+                }
+            }
+        };
+        serve(&mut service, &gen.blocks(40));
+
+        let image = service.checkpoint().unwrap();
+        let mut service = ChainService::resume(config, &image).unwrap();
+        assert_eq!(service.resume_carry(), Some(StateCarry::Warm));
+        // A negative tolerance fails every audit: invalidate, then fall
+        // back to hash allocation.
+        service.enable_health_check(1, -1.0);
+        serve(&mut service, &gen.blocks(10));
+        assert_eq!(service.degradation(), Degradation::Invalidated);
+        serve(&mut service, &gen.blocks(30));
+        assert_eq!(service.degradation(), Degradation::HashFallback);
+        assert_eq!(boundaries, 8);
+        let r = service.report();
+        assert!(r.retries + r.crash_outages > 0, "faults were injected");
     }
 
     #[test]

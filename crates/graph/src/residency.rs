@@ -36,6 +36,20 @@
 //! weight, `total_weight`) always stay resident, so epoch parameter
 //! rescaling and metrics need no rehydration at all.
 //!
+//! ## The index and what a boundary costs
+//!
+//! Each node owns one 8-byte residency word: the epoch of its last write
+//! while resident, a tag bit plus its spill-record offset while cold. The
+//! residency test, a write stamp and finding a cold row's record are one
+//! indexed load each, whatever the number of cold rows. A row enters a
+//! per-epoch touch list on its first write in an epoch, and a row
+//! rehydrated without a write enters a list of its own; an epoch
+//! boundary examines only the touch list of the epoch that just fell out
+//! of the window plus that second list. Boundary work is therefore
+//! `O(rows that could have become due)` — the per-epoch traffic — and
+//! independent of how many accounts the chain has ever seen (§V-C;
+//! [`MemoryFootprint::boundary_examined_rows`] reports it).
+//!
 //! [`checkpoint restore`]: crate::TxGraph::from_checkpoint_parts
 //! [`SortedRunStore::restore_row`]: crate::SortedRunStore::restore_row
 //! [`TxGraph::ensure_node`]: crate::TxGraph
@@ -94,11 +108,11 @@ impl ResidencyConfig {
 /// header (`len: u32` entry count, `scale_mark: u32` decay-tape position
 /// at eviction time) followed by `len × 4` id bytes and `len × 8` weight
 /// bytes, all little-endian. Keeping the per-row metadata in the record
-/// means the in-RAM cold directory stores one `u64` offset per cold row
-/// and nothing else — the header rides the rehydration read the row pays
-/// anyway. Re-evicting a row appends a fresh record; superseded ranges
-/// are dead log space, acceptable for a replay log (the log grows with
-/// eviction *traffic*, not with live state).
+/// means a cold row's residency word holds its offset and nothing else —
+/// the header rides the rehydration read the row pays anyway. Re-evicting
+/// a row appends a fresh record; superseded ranges are dead log space,
+/// acceptable for a replay log (the log grows with eviction *traffic*,
+/// not with live state).
 #[derive(Debug)]
 enum Spill {
     Memory(Vec<u8>),
@@ -180,33 +194,50 @@ impl Clone for Spill {
     }
 }
 
+/// Tag bit of a cold row's residency word; the low 63 bits hold the
+/// row's spill-record offset.
+const COLD: u64 = 1 << 63;
+
+/// The residency word of a row rehydrated without a write: it reads as
+/// "last written at epoch 0". Cold rows exist only from epoch
+/// `window + 1` on, so such a row is already due at the next boundary —
+/// the same verdict its real, older write stamp would give.
+const UNWRITTEN: u64 = 0;
+
 /// Per-graph residency state (owned by `TxGraph` when enabled).
 ///
-/// The index is keyed on **cold rows only**: always-resident accounts cost
-/// one touch stamp (4 B) plus one residency bit. A cold row costs 12 B
-/// (its id plus a `u64` spill offset — entry count and decay-tape mark
-/// live in the spill record's header, read back with the row). The cold
-/// directory (`cold_ids`/`cold_offsets`, ascending by node id) is
-/// consulted only after the bit test says a row is cold, so the hot
-/// resident path never searches it; rehydration just clears the bit and
-/// leaves a dead directory entry behind, and the next epoch boundary
-/// merges dead entries out together with the freshly evicted rows.
+/// The index is one dense `u64` word per node. A resident row's word is
+/// the epoch of its last write; a cold row's word is the [`COLD`] tag
+/// plus the offset of its spill record (entry count and decay-tape mark
+/// live in the record's header, read back with the row). Every access —
+/// the residency test, a write stamp, finding a cold row's record — is
+/// one indexed load.
+///
+/// Boundaries do not scan the node range. A row can only become due at
+/// the boundary that closes epoch `e + window + 1`, where `e` is the
+/// epoch of its last write, or — when rehydrated without a write — at
+/// the very next boundary. A ring of `window + 2` per-epoch touch lists
+/// (a row enters an epoch's list on its first write in that epoch) plus
+/// the list of rows rehydrated without a write hold exactly those
+/// candidates, so a boundary examines only the rows written in one past
+/// epoch plus the ones read back since the last boundary. The
+/// candidates that pass the eviction predicate are evicted in ascending
+/// node order, so the spill log's record order does not depend on the
+/// order traffic arrived in.
 #[derive(Debug, Clone)]
 pub(crate) struct Residency {
     window: u32,
-    /// Completed epochs since residency was enabled.
+    /// Completed epochs since residency was enabled; writes in the open
+    /// epoch are stamped with it.
     epoch: u32,
-    /// Last epoch stamp each node's row was written.
-    last_touch: Vec<u32>,
-    /// One bit per node, set while the row is cold (O(1) residency test).
-    cold_bits: Vec<u64>,
-    /// Node ids of the cold directory, ascending. Entries whose bit has
-    /// been cleared since the last merge are dead (superseded).
-    cold_ids: Vec<NodeId>,
-    /// Spill record offsets parallel to `cold_ids`.
-    cold_offsets: Vec<u64>,
-    /// Dead entries in the directory since the last epoch merge.
-    dead: usize,
+    /// One residency word per node (see the type docs).
+    words: Vec<u64>,
+    /// Touch lists, slot `e % (window + 2)` holding the rows first written
+    /// in epoch `e`. A slot is freed when its epoch falls due, so its
+    /// capacity never outlives one window.
+    touched: Vec<Vec<NodeId>>,
+    /// Rows rehydrated without a write since the last boundary.
+    unwritten: Vec<NodeId>,
     /// Every decay factor applied since enable, in order — the replay
     /// tape for cold rows (8 bytes per decay epoch).
     scale_log: Vec<f64>,
@@ -214,57 +245,67 @@ pub(crate) struct Residency {
     cold_rows: usize,
     evicted_total: u64,
     restored_total: u64,
+    /// Candidate rows the most recent boundary examined.
+    examined_last: usize,
     // Serialization scratch, reused across evictions/rehydrations.
     buf: Vec<u8>,
     ids_scratch: Vec<NodeId>,
     ws_scratch: Vec<f64>,
-    // Directory-merge scratch: this epoch's staged evictions, freed after
-    // each merge so its capacity never lingers in the footprint.
-    merge_ids: Vec<NodeId>,
-    merge_offsets: Vec<u64>,
 }
 
 impl Residency {
+    /// Opens the index over `nodes` existing rows, all counting as
+    /// written in epoch 0.
     pub(crate) fn new(config: &ResidencyConfig, nodes: usize) -> Self {
         assert!(config.window >= 1, "eviction window must be ≥ 1 epoch");
+        let mut touched = vec![Vec::new(); config.window as usize + 2];
+        touched[0] = (0..fit_u32(nodes)).collect();
         Self {
             window: config.window,
             epoch: 0,
-            last_touch: vec![0; nodes],
-            cold_bits: vec![0; nodes.div_ceil(64)],
-            cold_ids: Vec::new(),
-            cold_offsets: Vec::new(),
-            dead: 0,
+            words: vec![0; nodes],
+            touched,
+            unwritten: Vec::new(),
             scale_log: Vec::new(),
             spill: Spill::open(&config.spill),
             cold_rows: 0,
             evicted_total: 0,
             restored_total: 0,
+            examined_last: 0,
             buf: Vec::new(),
             ids_scratch: Vec::new(),
             ws_scratch: Vec::new(),
-            merge_ids: Vec::new(),
-            merge_offsets: Vec::new(),
         }
     }
 
-    /// Registers a brand-new node (resident, touched now).
+    /// The touch list of epoch `e`.
+    fn touch_list(&mut self, e: u32) -> &mut Vec<NodeId> {
+        let slot = e as usize % self.touched.len();
+        &mut self.touched[slot]
+    }
+
+    /// Registers a brand-new node (resident, written now).
     pub(crate) fn push_node(&mut self) {
-        self.last_touch.push(self.epoch);
-        if self.last_touch.len() > self.cold_bits.len() * 64 {
-            self.cold_bits.push(0);
+        let v = fit_u32(self.words.len());
+        self.words.push(u64::from(self.epoch));
+        self.touch_list(self.epoch).push(v);
+    }
+
+    /// Records a write to `v`'s row, rehydrating it first when cold. The
+    /// first write of an epoch enters the row into that epoch's touch
+    /// list; later ones cost one compare.
+    #[inline]
+    pub(crate) fn on_write(&mut self, adjacency: &mut SortedRunStore, v: NodeId) {
+        let word = self.words[v as usize];
+        let now = u64::from(self.epoch);
+        if word == now {
+            return;
         }
-    }
-
-    /// Stamps a write touch on `v`'s row.
-    #[inline]
-    pub(crate) fn touch(&mut self, v: NodeId) {
-        self.last_touch[v as usize] = self.epoch;
-    }
-
-    #[inline]
-    pub(crate) fn is_cold(&self, v: NodeId) -> bool {
-        (self.cold_bits[v as usize / 64] >> (v as usize % 64)) & 1 == 1
+        if word & COLD != 0 {
+            self.restore(adjacency, v, word & !COLD);
+        }
+        self.words[v as usize] = now;
+        self.touch_list(self.epoch).push(v);
     }
 
     pub(crate) fn cold_rows(&self) -> usize {
@@ -279,6 +320,10 @@ impl Residency {
         self.restored_total
     }
 
+    pub(crate) fn examined_last(&self) -> usize {
+        self.examined_last
+    }
+
     pub(crate) fn spill_bytes(&self) -> u64 {
         self.spill.bytes()
     }
@@ -288,17 +333,33 @@ impl Residency {
         self.scale_log.push(factor);
     }
 
-    /// Brings `v`'s row back into the slab, bitwise-transparently. No-op
+    /// Brings `v`'s row back into the slab without counting a write: the
+    /// row is due again at the next boundary unless written first. No-op
     /// when already resident.
     pub(crate) fn rehydrate(&mut self, adjacency: &mut SortedRunStore, v: NodeId) {
-        if !self.is_cold(v) {
+        let word = self.words[v as usize];
+        if word & COLD == 0 {
             return;
         }
-        let at = self
-            .cold_ids
-            .binary_search(&v)
-            .expect("cold bit set but row missing from the cold directory"); // txallo-lint: allow(lib-unwrap) — the bit and the directory are updated together (evict sets both, rehydrate clears the bit and leaves the entry for the next merge), so a set bit always has its entry
-        let offset = self.cold_offsets[at];
+        self.restore(adjacency, v, word & !COLD);
+        self.words[v as usize] = UNWRITTEN;
+        self.unwritten.push(v);
+    }
+
+    /// Rehydrates every cold row (see [`Residency::rehydrate`]), stopping
+    /// as soon as none is left.
+    pub(crate) fn rehydrate_all(&mut self, adjacency: &mut SortedRunStore) {
+        for v in 0..self.words.len() {
+            if self.cold_rows == 0 {
+                break;
+            }
+            self.rehydrate(adjacency, v as NodeId);
+        }
+    }
+
+    /// Reads the spill record at `offset` back into `v`'s (empty) row,
+    /// bitwise-transparently. The caller rewrites `v`'s word.
+    fn restore(&mut self, adjacency: &mut SortedRunStore, v: NodeId, offset: u64) {
         let mut header = [0u8; 8];
         self.spill.read_at(offset, &mut header);
         let n = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize; // txallo-lint: allow(lib-unwrap) — a 4-byte slice of an 8-byte array converts infallibly
@@ -325,119 +386,71 @@ impl Residency {
             }
         }
         adjacency.restore_row(v as usize, &self.ids_scratch, &self.ws_scratch);
-        self.cold_bits[v as usize / 64] &= !(1u64 << (v as usize % 64));
-        self.dead += 1;
         self.cold_rows -= 1;
         self.restored_total += 1;
     }
 
     /// Marks an epoch boundary: evicts every resident, non-empty row whose
     /// account has gone more than `window` completed epochs without a
-    /// write, then compacts the cold directory (freshly evicted rows merge
-    /// in, entries rehydrated since the last boundary merge out). Returns
-    /// the number of rows evicted.
+    /// write, in ascending node order. Only the rows last written exactly
+    /// `window + 1` epochs ago and the rows rehydrated without a write
+    /// since the last boundary are examined — no other row can be due.
+    /// Returns the number of rows evicted.
     pub(crate) fn advance_epoch(&mut self, adjacency: &mut SortedRunStore) -> usize {
         self.epoch += 1;
-        // Stage this epoch's evictions in the merge scratch: the loop runs
-        // ascending, so the staged ids arrive sorted.
-        self.merge_ids.clear();
-        self.merge_offsets.clear();
-        for v in 0..self.last_touch.len() {
-            if self.is_cold(v as NodeId)
-                || self.epoch - self.last_touch[v] <= self.window
-                || adjacency.row_len(v) == 0
-            {
-                continue;
-            }
-            self.ids_scratch.clear();
-            self.ws_scratch.clear();
-            let n = adjacency.evict_row(v, &mut self.ids_scratch, &mut self.ws_scratch);
-            self.buf.clear();
-            self.buf.extend_from_slice(&fit_u32(n).to_le_bytes());
-            self.buf
-                .extend_from_slice(&fit_u32(self.scale_log.len()).to_le_bytes());
-            for id in &self.ids_scratch {
-                self.buf.extend_from_slice(&id.to_le_bytes());
-            }
-            for w in &self.ws_scratch {
-                self.buf.extend_from_slice(&w.to_le_bytes());
-            }
-            let offset = self.spill.append(&self.buf);
-            self.merge_ids.push(v as NodeId);
-            self.merge_offsets.push(offset);
-            self.cold_bits[v / 64] |= 1u64 << (v % 64);
-            self.cold_rows += 1;
-            self.evicted_total += 1;
+        let mut due = match self.epoch.checked_sub(self.window + 1) {
+            Some(e) => std::mem::take(self.touch_list(e)),
+            None => Vec::new(),
+        };
+        due.extend_from_slice(&self.unwritten);
+        self.unwritten = Vec::new();
+        self.examined_last = due.len();
+        let (epoch, window, words) = (self.epoch, self.window, &self.words);
+        due.retain(|&v| {
+            let word = words[v as usize];
+            word & COLD == 0 && epoch - word as u32 > window && adjacency.row_len(v as usize) != 0
+        });
+        // The lists are disjoint — a row last written in the due epoch
+        // cannot have been cold since — so sorting alone fixes the spill
+        // record order.
+        due.sort_unstable();
+        debug_assert!(due.windows(2).all(|p| p[0] < p[1]), "duplicate candidate");
+        for &v in &due {
+            self.evict(adjacency, v);
         }
-        let evicted = self.merge_ids.len();
-        if evicted > 0 || self.dead > 0 {
-            self.merge_directory();
-        }
-        evicted
+        due.len()
     }
 
-    /// Merges the staged evictions (in `merge_*`) with the surviving old
-    /// directory entries, dropping dead ones, then ping-pongs the merged
-    /// directory back into `cold_*`. A staged entry supersedes an old
-    /// entry with the same id (the old one is necessarily dead: the row
-    /// was rehydrated before it could be evicted again).
-    fn merge_directory(&mut self) {
-        let mut merged_ids = Vec::with_capacity(self.cold_ids.len() + self.merge_ids.len());
-        let mut merged_offsets = Vec::with_capacity(merged_ids.capacity());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.cold_ids.len() || j < self.merge_ids.len() {
-            let take_old = match (self.cold_ids.get(i), self.merge_ids.get(j)) {
-                (Some(&o), Some(&s)) => {
-                    if o == s {
-                        i += 1; // superseded: the staged entry wins
-                        false
-                    } else {
-                        o < s
-                    }
-                }
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_old {
-                let v = self.cold_ids[i];
-                if self.is_cold(v) {
-                    merged_ids.push(v);
-                    merged_offsets.push(self.cold_offsets[i]);
-                }
-                i += 1;
-            } else {
-                merged_ids.push(self.merge_ids[j]);
-                merged_offsets.push(self.merge_offsets[j]);
-                j += 1;
-            }
+    /// Serializes `v`'s merged row to the spill and leaves its word cold.
+    fn evict(&mut self, adjacency: &mut SortedRunStore, v: NodeId) {
+        self.ids_scratch.clear();
+        self.ws_scratch.clear();
+        let n = adjacency.evict_row(v as usize, &mut self.ids_scratch, &mut self.ws_scratch);
+        self.buf.clear();
+        self.buf.extend_from_slice(&fit_u32(n).to_le_bytes());
+        self.buf
+            .extend_from_slice(&fit_u32(self.scale_log.len()).to_le_bytes());
+        for id in &self.ids_scratch {
+            self.buf.extend_from_slice(&id.to_le_bytes());
         }
-        // The with_capacity above is an upper bound (dead and superseded
-        // entries never land); shrink so the footprint tracks the live
-        // directory, and free the staging scratch outright — both are
-        // rebuilt from scratch next boundary, one realloc per epoch.
-        merged_ids.shrink_to_fit();
-        merged_offsets.shrink_to_fit();
-        self.cold_ids = merged_ids;
-        self.cold_offsets = merged_offsets;
-        self.merge_ids = Vec::new();
-        self.merge_offsets = Vec::new();
-        self.dead = 0;
+        for w in &self.ws_scratch {
+            self.buf.extend_from_slice(&w.to_le_bytes());
+        }
+        let offset = self.spill.append(&self.buf);
+        assert_eq!(offset & COLD, 0, "spill offset overflows the tag bit");
+        self.words[v as usize] = COLD | offset;
+        self.cold_rows += 1;
+        self.evicted_total += 1;
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.last_touch.len()
-    }
-
-    /// Resident bytes of the residency index itself (stamps, the cold
-    /// bitmap, the cold-row directory, the decay tape and scratch) —
-    /// reported so the accounting surface can't hide its own overhead.
+    /// Resident bytes of the residency index itself (per-node words, the
+    /// touch lists, the decay tape and scratch) — reported so the
+    /// accounting surface can't hide its own overhead.
     pub(crate) fn index_bytes(&self) -> usize {
-        self.last_touch.capacity() * 4
-            + self.cold_bits.capacity() * 8
-            + self.cold_ids.capacity() * 4
-            + self.cold_offsets.capacity() * 8
-            + self.merge_ids.capacity() * 4
-            + self.merge_offsets.capacity() * 8
+        self.words.capacity() * 8
+            + self.touched.capacity() * std::mem::size_of::<Vec<NodeId>>()
+            + self.touched.iter().map(|l| l.capacity() * 4).sum::<usize>()
+            + self.unwritten.capacity() * 4
             + self.scale_log.capacity() * 8
             + self.buf.capacity()
             + self.ids_scratch.capacity() * 4
@@ -459,8 +472,9 @@ pub struct MemoryFootprint {
     pub node_scalar_bytes: usize,
     /// Account interner (id vector + hash map estimate).
     pub interner_bytes: usize,
-    /// Residency bookkeeping (touch stamps, cold slots, decay tape), zero
-    /// when residency is disabled.
+    /// Residency bookkeeping (one word per node, the per-epoch touch
+    /// lists, the decay tape and scratch), zero when residency is
+    /// disabled.
     pub residency_index_bytes: usize,
     /// Bytes in the spill log (not resident when file-backed).
     pub spill_bytes: u64,
@@ -472,6 +486,12 @@ pub struct MemoryFootprint {
     pub evicted_rows: u64,
     /// Cumulative rows rehydrated since residency was enabled.
     pub restored_rows: u64,
+    /// Candidate rows the most recent residency boundary examined: the
+    /// rows last written `window + 1` epochs earlier plus those
+    /// rehydrated without a write since the boundary before. A pure
+    /// function of the input, independent of how many accounts went cold
+    /// earlier (§V-C).
+    pub boundary_examined_rows: usize,
 }
 
 impl MemoryFootprint {

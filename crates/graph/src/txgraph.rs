@@ -177,10 +177,7 @@ impl TxGraph {
         // the clique expansion below only ever writes resident rows. One
         // predictable branch when residency is off.
         if let Some(res) = self.residency.as_deref_mut() {
-            res.touch(n);
-            if res.is_cold(n) {
-                res.rehydrate(&mut self.adjacency, n);
-            }
+            res.on_write(&mut self.adjacency, n);
         }
         n
     }
@@ -222,9 +219,7 @@ impl TxGraph {
     /// dust pruning); see the [residency read invariant](crate::residency).
     pub fn ensure_all_resident(&mut self) {
         if let Some(res) = self.residency.as_deref_mut() {
-            for v in 0..res.node_count() as NodeId {
-                res.rehydrate(&mut self.adjacency, v);
-            }
+            res.rehydrate_all(&mut self.adjacency);
         }
     }
 
@@ -244,6 +239,7 @@ impl TxGraph {
             cold_rows: cold,
             evicted_rows: self.residency.as_deref().map_or(0, |r| r.evicted_total()),
             restored_rows: self.residency.as_deref().map_or(0, |r| r.restored_total()),
+            boundary_examined_rows: self.residency.as_deref().map_or(0, |r| r.examined_last()),
         }
     }
 
@@ -870,6 +866,52 @@ mod tests {
             evicting.for_each_neighbor(v, |u, w| er.push((u, w.to_bits())));
             assert_eq!(pr, er, "row {v}");
         }
+    }
+
+    /// §V-C for the residency layer: with per-epoch traffic held fixed,
+    /// the rows each boundary examines stay the same when the cold
+    /// history behind them grows tenfold.
+    #[test]
+    fn residency_boundary_work_is_independent_of_cold_history() {
+        use crate::residency::ResidencyConfig;
+        let run = |history: u64| -> (Vec<usize>, Vec<usize>, usize) {
+            let mut g = TxGraph::new();
+            g.enable_residency(&ResidencyConfig::in_memory(2));
+            // History: `history` account pairs transact once and go cold.
+            let old = |i: u64| a(1_000 + i);
+            for i in 0..history {
+                g.ingest_transaction(&Transaction::transfer(old(2 * i), old(2 * i + 1)));
+            }
+            for _ in 0..3 {
+                g.advance_residency_epoch();
+            }
+            let cold = g.memory_footprint().cold_rows;
+            // Fixed traffic: a 40-account ring every epoch, four history
+            // pairs returning, and one cold row read back without a write.
+            let (mut examined, mut evicted) = (Vec::new(), Vec::new());
+            for e in 0..10u64 {
+                for i in 0..40 {
+                    g.ingest_transaction(&Transaction::transfer(a(i), a((i + 1) % 40)));
+                }
+                for p in 4 * e..4 * e + 4 {
+                    g.ingest_transaction(&Transaction::transfer(old(2 * p), old(2 * p + 1)));
+                }
+                let back = g.node_of(old(200 + e)).unwrap();
+                g.ensure_resident(back);
+                evicted.push(g.advance_residency_epoch());
+                examined.push(g.memory_footprint().boundary_examined_rows);
+            }
+            (examined, evicted, cold)
+        };
+        let (small, small_evicted, small_cold) = run(1_000);
+        let (large, large_evicted, large_cold) = run(10_000);
+        assert_eq!(large_cold, 10 * small_cold, "history went cold");
+        assert_eq!(small, large, "boundary work grew with cold history");
+        assert_eq!(small_evicted, large_evicted);
+        // Steady state: the 40 ring rows plus 8 returning rows written two
+        // epochs back, plus the one read-back row.
+        assert_eq!(small[5..], [49; 5]);
+        assert!(small_evicted[5..].iter().all(|&n| n == 9));
     }
 
     #[test]

@@ -251,49 +251,144 @@ proptest! {
     }
 }
 
+/// Reference model of the residency window rule: a resident row with
+/// entries is evicted once its account has gone more than `window`
+/// completed epochs without a write, so a row read back without a write
+/// goes cold again at the next boundary. Any touch of a cold row (a write
+/// or a read-back) restores it.
+struct ResidencyModel {
+    window: u32,
+    epoch: u32,
+    last_write: Vec<u32>,
+    linked: Vec<bool>,
+    cold: Vec<bool>,
+    restored: u64,
+}
+
+impl ResidencyModel {
+    fn touch(&mut self, v: NodeId, write: bool) {
+        let v = v as usize;
+        if v >= self.cold.len() {
+            self.last_write.resize(v + 1, self.epoch);
+            self.linked.resize(v + 1, false);
+            self.cold.resize(v + 1, false);
+        }
+        if std::mem::take(&mut self.cold[v]) {
+            self.restored += 1;
+        }
+        if write {
+            self.last_write[v] = self.epoch;
+        }
+    }
+
+    fn boundary(&mut self) -> usize {
+        self.epoch += 1;
+        let mut evicted = 0;
+        for v in 0..self.cold.len() {
+            if !self.cold[v] && self.linked[v] && self.epoch - self.last_write[v] > self.window {
+                self.cold[v] = true;
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+}
+
+/// A fresh spill-file path per call (cases run in one process).
+fn spill_path() -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "txallo-graph-proptest-{}-{}.spill",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Cold-row eviction is bitwise transparent: a graph running under any
-    /// residency window, through any interleaving of ingestion epochs and
-    /// decay rescales, reads back — row weights, scalars, totals — exactly
-    /// the bits of a twin that never evicted anything.
+    /// residency window and either spill target, through any interleaving
+    /// of ingestion epochs, decay rescales and read-backs of single rows
+    /// or of every row, reads back — row weights, scalars, totals —
+    /// exactly the bits of a twin that never evicted anything. Per-epoch
+    /// evicted counts and the restored total follow the reference model
+    /// of the window rule.
     #[test]
     fn residency_eviction_is_bitwise_transparent(
         epochs in prop::collection::vec(
-            (prop::collection::vec((0u64..30, 0u64..30), 1..20), 0.5f64..1.0),
+            (
+                prop::collection::vec((0u64..30, 0u64..30), 1..20),
+                0.5f64..1.0,
+                prop::collection::vec(0u64..30, 0..4),
+                0u8..5, // 0 (one epoch in five): read every row back
+            ),
             2..12,
         ),
         window in 1u32..4,
     ) {
-        use txallo_graph::ResidencyConfig;
-        let mut plain = TxGraph::new();
-        let mut evicting = TxGraph::new();
-        evicting.enable_residency(&ResidencyConfig::in_memory(window));
-        for (pairs, decay) in &epochs {
-            plain.apply_decay(*decay);
-            evicting.apply_decay(*decay);
-            for &(a, b) in pairs {
-                let tx = Transaction::transfer(AccountId(a), AccountId(b));
-                plain.ingest_transaction(&tx);
-                evicting.ingest_transaction(&tx);
+        use txallo_graph::{ResidencyConfig, SpillTarget};
+        for spill in [SpillTarget::Memory, SpillTarget::File(spill_path())] {
+            let mut plain = TxGraph::new();
+            let mut evicting = TxGraph::new();
+            evicting.enable_residency(&ResidencyConfig { window, spill: spill.clone() });
+            let mut model = ResidencyModel {
+                window,
+                epoch: 0,
+                last_write: Vec::new(),
+                linked: Vec::new(),
+                cold: Vec::new(),
+                restored: 0,
+            };
+            for (pairs, decay, reads, read_all) in &epochs {
+                plain.apply_decay(*decay);
+                evicting.apply_decay(*decay);
+                // Read-backs before this epoch's writes: a row restored here
+                // and written below counts as written.
+                for &a in reads {
+                    if let Some(v) = evicting.node_of(AccountId(a)) {
+                        evicting.ensure_resident(v);
+                        model.touch(v, false);
+                    }
+                }
+                for &(a, b) in pairs {
+                    let tx = Transaction::transfer(AccountId(a), AccountId(b));
+                    plain.ingest_transaction(&tx);
+                    for v in evicting.ingest_transaction(&tx) {
+                        model.touch(v, true);
+                        model.linked[v as usize] |= a != b;
+                    }
+                }
+                if *read_all == 0 {
+                    evicting.ensure_all_resident();
+                    for v in 0..evicting.node_count() as NodeId {
+                        model.touch(v, false);
+                    }
+                }
+                prop_assert_eq!(evicting.advance_residency_epoch(), model.boundary());
+                let fp = evicting.memory_footprint();
+                prop_assert_eq!(fp.restored_rows, model.restored);
+                prop_assert_eq!(fp.cold_rows, model.cold.iter().filter(|&&c| c).count());
             }
-            evicting.advance_residency_epoch();
-        }
-        evicting.ensure_all_resident();
-        prop_assert_eq!(plain.node_count(), evicting.node_count());
-        prop_assert_eq!(plain.total_weight().to_bits(), evicting.total_weight().to_bits());
-        for v in 0..plain.node_count() as NodeId {
-            prop_assert_eq!(plain.self_loop(v).to_bits(), evicting.self_loop(v).to_bits());
-            prop_assert_eq!(
-                plain.incident_weight(v).to_bits(),
-                evicting.incident_weight(v).to_bits()
-            );
-            let mut want = Vec::new();
-            plain.for_each_neighbor(v, |u, w| want.push((u, w.to_bits())));
-            let mut got = Vec::new();
-            evicting.for_each_neighbor(v, |u, w| got.push((u, w.to_bits())));
-            prop_assert_eq!(want, got);
+            evicting.ensure_all_resident();
+            if let SpillTarget::File(path) = &spill {
+                let _ = std::fs::remove_file(path);
+            }
+            prop_assert_eq!(plain.node_count(), evicting.node_count());
+            prop_assert_eq!(plain.total_weight().to_bits(), evicting.total_weight().to_bits());
+            for v in 0..plain.node_count() as NodeId {
+                prop_assert_eq!(plain.self_loop(v).to_bits(), evicting.self_loop(v).to_bits());
+                prop_assert_eq!(
+                    plain.incident_weight(v).to_bits(),
+                    evicting.incident_weight(v).to_bits()
+                );
+                let mut want = Vec::new();
+                plain.for_each_neighbor(v, |u, w| want.push((u, w.to_bits())));
+                let mut got = Vec::new();
+                evicting.for_each_neighbor(v, |u, w| got.push((u, w.to_bits())));
+                prop_assert_eq!(want, got);
+            }
         }
     }
 }
